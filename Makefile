@@ -1,7 +1,7 @@
 # Convenience targets for the TMN reproduction.
 
 .PHONY: install test lint lint-json lint-concurrency lint-exceptions \
-	sanitize-test bench bench-fast bench-json bench-serve bench-shard \
+	sanitize-test perfbench-test bench bench-fast bench-json bench-serve bench-shard \
 	bench-memory bench-check trace-demo trace-shard-demo verify regen-golden profile \
 	profile-serve examples clean
 
@@ -34,6 +34,12 @@ sanitize-test:
 	PYTHONPATH=src python -m pytest tests/test_serve.py tests/test_serve_faults.py \
 		tests/test_serve_concurrency.py tests/test_hnsw.py tests/test_obs.py \
 		tests/test_obs_lockstats.py --sanitize -q
+
+# The repo benchmark's own tests (perfbench/): they build servers through
+# the public serving surface the benchmark wraps, so a refactor that
+# breaks that surface fails here before the benchmark runs.
+perfbench-test:
+	python3 -m pytest perfbench/tests -q
 
 # Machine-readable lint report (violations + suppressed count) for CI artifacts.
 lint-json:
@@ -109,11 +115,11 @@ trace-shard-demo:
 # The default verification path: lint (all families, including the
 # R010 trace-propagation rule), the concurrency and exception scopes on
 # their own exit gates, tier-1 tests, the sanitized serve subset, the
-# bench-regression gate (perf + serve + memory trajectories), a
-# profile-serve smoke run proving the sampler produces a loadable
-# profile, and a trace-shard-demo smoke run proving cross-process
-# stitching works end-to-end.
-verify: lint lint-concurrency lint-exceptions test sanitize-test bench-check profile-serve trace-shard-demo
+# perfbench tests, the bench-regression gate (perf + serve + memory
+# trajectories), a profile-serve smoke run proving the sampler produces
+# a loadable profile, and a trace-shard-demo smoke run proving
+# cross-process stitching works end-to-end.
+verify: lint lint-concurrency lint-exceptions test sanitize-test perfbench-test bench-check profile-serve trace-shard-demo
 
 # Re-snapshot the golden trainer regression file after an INTENTIONAL
 # numeric change (review the diff before committing it).

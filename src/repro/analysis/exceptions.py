@@ -476,19 +476,31 @@ class _FnWalker:
 
     # -- setup ----------------------------------------------------------
     def _infer_local_types(self) -> Dict[str, ClassInfo]:
-        """``var = SomeClass(...)`` bindings, including enclosing scopes.
+        """``var = SomeClass(...)`` and ``param: SomeClass`` bindings.
 
         Nested functions close over their parents' locals, so the chain
         of enclosing functions is scanned outermost-first (inner
-        assignments shadow outer ones).
+        assignments shadow outer ones).  A parameter annotated with a
+        project class binds to it, so a module-level helper handed a
+        server's index or cache resolves calls on it like the method
+        that owns the attribute would.
         """
         chain: List[EFunc] = []
         cur: Optional[EFunc] = self.fn
         while cur is not None:
             chain.append(cur)
             cur = cur.parent
+        flow = self.model.flow
         types: Dict[str, ClassInfo] = {}
         for scope in reversed(chain):
+            args = getattr(scope.node, "args", None)
+            params = (args.posonlyargs + args.args + args.kwonlyargs) if args else []
+            for param in params:
+                dotted = _dotted(param.annotation) if param.annotation else None
+                ref = flow.resolve(self.minfo, dotted) if dotted else None
+                cinfo = flow.class_info(ref) if ref is not None and ref.kind == "class" else None
+                if cinfo is not None:
+                    types[param.arg] = cinfo
             for node in ast.walk(scope.node):
                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                     classes = self.model.flow._call_result_classes(

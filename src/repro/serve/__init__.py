@@ -11,11 +11,16 @@ package is the subsystem that actually serves those queries:
   deadline), with a fault-isolation boundary per batch;
 - :mod:`repro.serve.engine` — :class:`SimilarityServer`: cache → queue →
   HNSW/brute top-k with per-request deadlines; a missed deadline or a
-  poisoned batch yields a degraded-but-exact answer, never an exception;
+  poisoned batch yields a degraded-but-exact answer, never an exception.
+  The module also holds the one degradation ladder both servers run, as
+  plain functions: ``open_request``, ``search_embeddings`` over
+  ``exact_scan``, ``embedding_answer``, ``degraded_answer``,
+  ``last_resort`` / ``empty_result`` and the encoder and memory plumbing;
 - :mod:`repro.serve.shard` — :class:`ShardedSimilarityServer`: the
   process-pool tier — N spawned workers each owning an index shard and
   a MicroBatcher, shared-memory payload handoff, scatter-gather top-k
-  merge with per-shard deadlines and the same never-raises contract;
+  merge with per-shard deadlines, over the same ladder and never-raises
+  contract;
 - :mod:`repro.serve.bench` — the ``repro-tmn serve-bench`` harness
   measuring served vs naive one-forward-per-request throughput, plus
   the sharded closed-loop bench behind ``--shards``.

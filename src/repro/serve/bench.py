@@ -46,7 +46,7 @@ from ..obs.slo import (
 )
 from ..obs.trace import get_tracer
 from .cache import trajectory_key
-from .engine import ServeResult, SimilarityServer
+from .engine import ServeResult, SimilarityServer, exact_scan, search_embeddings
 
 __all__ = [
     "ServeBenchResult",
@@ -656,7 +656,7 @@ def run_shard_bench(
     time-attribution table aggregated from the stitched traces.
     """
     from ..index.hnsw import HNSWIndex
-    from .shard import FeatureEncoder, ShardedSimilarityServer, _shard_search, merge_topk
+    from .shard import FeatureEncoder, ShardedSimilarityServer, merge_topk
 
     rng = np.random.default_rng(seed)
     corpus = _make_walks(n_db + n_queries, rng)
@@ -730,10 +730,12 @@ def run_shard_bench(
 
         def inline_topk(embedding: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
             """The coordinator merge over in-process shard replicas."""
-            parts = [
-                _shard_search(index, gids, embedding, k, spec)
-                for index, gids in inline
-            ]
+            parts = []
+            for index, gids in inline:
+                sq, ids, _ = search_embeddings(
+                    index, embedding, k, spec.brute_threshold, spec.ef_search
+                )
+                parts.append((sq, gids[ids]))
             sq, gid = merge_topk(parts, min(k, n_db))
             # Squared L2 values are nonnegative by construction.
             return np.sqrt(sq), gid  # lint: allow(N002)
@@ -754,8 +756,7 @@ def run_shard_bench(
                 result.distances, in_dists
             ):
                 agree += 1
-            sq = ((emb_by_gid - cached[None, :]) ** 2).sum(axis=1)
-            exact = np.argsort(sq, kind="stable")[: min(k, n_db)]
+            _, exact = exact_scan(emb_by_gid, cached, min(k, n_db))
             recall_total += len(set(result.ids) & set(exact)) / max(len(exact), 1)
         agreement = agree / checked if checked else 0.0
         recall_at_k = recall_total / checked if checked else 0.0

@@ -1,33 +1,38 @@
 """The similarity query engine: cache → micro-batch encode → index top-k.
 
-This is the serving path the ROADMAP's "heavy traffic" north star needs:
-a :class:`SimilarityServer` owns an encoder, an :class:`EmbeddingCache`,
+A :class:`SimilarityServer` owns an encoder, an :class:`EmbeddingCache`,
 a :class:`MicroBatcher` and an :class:`~repro.index.hnsw.HNSWIndex`, and
 answers ``topk(traj, k)`` from any number of caller threads.
 
-Degradation contract — **callers never see an exception** from
-:meth:`SimilarityServer.topk`:
+It is the in-process, one-shard case of the sharded tier
+(:mod:`repro.serve.shard`): both servers run one degradation ladder made
+of the plain functions below, so each rung exists once —
+:func:`open_request`; :func:`search_embeddings` (the brute-vs-HNSW
+policy over :func:`exact_scan`, the exact squared-L2 scan every tier
+ranks with) and :func:`embedding_answer`; :func:`degraded_answer` (the
+true-metric rung over :func:`exact_metric_topk`); and the
+:func:`last_resort` floor with :func:`empty_result`.  :func:`as_points`,
+:func:`resolve_encoder`, :func:`resolve_metric`, :func:`encode_block`,
+:func:`encode_chunked` and :func:`publish_memory` are the shared plumbing.
+
+Degradation contract — **callers never see an exception** from ``topk``:
 
 - embedding available in time → approximate HNSW answer (or brute-force
   over the embedding table when the database is small or ``k`` is large,
-  which is *exact* in embedding space);
+  which is *exact* in embedding space); ``k < 1`` answers empty;
 - encode misses the per-request deadline, or the batched forward fails →
   a *degraded-but-exact* answer: the true trajectory metric (default
   DTW) is evaluated against a bounded subset of the stored trajectories
   and its top-k returned, flagged ``degraded=True``.  Coverage shrinks,
   correctness of what is returned does not.
 
-Every stage is observable: ``serve.query.*`` counters, per-stage spans
-(``serve/encode``, ``serve/index``, ``serve/degraded``) on the default
-recorder, plus the cache and batcher instruments they own.
-
-Additionally every :meth:`SimilarityServer.topk` call opens one
-``serve.topk`` request trace (:mod:`repro.obs.trace`): child spans for
-the cache probe, queue wait, batched forward (both stamped across the
-thread hop by the :class:`MicroBatcher` via a handoff token), index
-search and the degraded fallback (with the degradation *reason* as an
-attribute), so ``repro-tmn trace`` can show where any single slow
-request spent its time.
+Every ``topk`` call opens one ``serve.topk`` request trace
+(:mod:`repro.obs.trace`) with child spans for the cache probe, queue
+wait, batched forward (both stamped across the thread hop by the
+:class:`MicroBatcher` via a handoff token), index search and the
+degraded fallback (with the degradation *reason* as an attribute), so
+``repro-tmn trace`` can show where any single slow request spent its
+time; ``serve.query.*`` counters complete the picture.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,33 +49,18 @@ from ..metrics import MetricSpec, get_metric, pad_trajectories
 from ..obs.lockstats import new_lock
 from ..obs.log import get_logger
 from ..obs.metrics import get_registry
-from ..obs.spans import span
 from ..obs.trace import get_tracer, trace_span
 from .batcher import MicroBatcher
 from .cache import EmbeddingCache, trajectory_key
 
-__all__ = ["ServeResult", "SimilarityServer", "exact_metric_topk"]
+__all__ = [
+    "ServeResult", "SimilarityServer", "as_points", "degraded_answer",
+    "embedding_answer", "empty_result", "encode_block", "encode_chunked",
+    "exact_metric_topk", "exact_scan", "last_resort", "open_request",
+    "publish_memory", "resolve_encoder", "resolve_metric", "search_embeddings",
+]
 
 _LOG = get_logger("repro.serve.engine")
-
-
-def exact_metric_topk(
-    points: np.ndarray, subset: Sequence[np.ndarray], metric: MetricSpec, k: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """True-metric top-k of ``points`` against ``subset``: ``(order, dists)``.
-
-    One padded batch evaluation of ``metric`` followed by a stable
-    argsort, so ties resolve to the lowest subset index.  Shared by the
-    single-process degraded path and the sharded coordinator's
-    no-embedding fallback — both tiers must rank identically.
-    """
-    stacked, lengths = pad_trajectories([points] + list(subset))
-    q_stack = np.repeat(stacked[:1], len(subset), axis=0)
-    q_len = np.repeat(lengths[:1], len(subset))
-    dists = metric.batch(q_stack, stacked[1:], q_len, lengths[1:])
-    k_eff = min(k, len(subset))
-    order = np.argsort(dists, kind="stable")[:k_eff]
-    return order, np.asarray(dists[order], dtype=float)
 
 
 @dataclass
@@ -90,7 +80,8 @@ class ServeResult:
     cache_hit:
         Whether the query embedding came from the cache.
     source:
-        ``"hnsw"``, ``"brute"`` or ``"degraded-exact"``.
+        ``"hnsw"``, ``"brute"``, ``"sharded"``, ``"sharded-fallback"`` or
+        ``"degraded-exact"``.
     seconds:
         End-to-end request wall time.
     """
@@ -102,6 +93,245 @@ class ServeResult:
     source: str
     seconds: float
     k: int = field(default=0)
+
+
+# ----------------------------------------------------------------------
+# Arguments and encoders.
+# ----------------------------------------------------------------------
+def as_points(traj) -> np.ndarray:
+    """Raw float64 point array behind a trajectory-or-array argument."""
+    return np.asarray(traj.points if hasattr(traj, "points") else traj, dtype=np.float64)
+
+
+def resolve_encoder(encoder: object) -> Callable:
+    """The encode callable behind ``encoder`` (model-or-callable duality).
+
+    Models expose ``.encode`` (and are also callable via
+    ``Module.__call__``), so the attribute check must come first.
+    """
+    if hasattr(encoder, "encode"):
+        return encoder.encode
+    if callable(encoder):
+        return encoder
+    raise TypeError("encoder must be callable or expose .encode()")
+
+
+def resolve_metric(metric: Union[str, MetricSpec]) -> MetricSpec:
+    """The :class:`MetricSpec` behind a metric name or spec."""
+    return metric if isinstance(metric, MetricSpec) else get_metric(metric)
+
+
+def encode_block(encode_fn: Callable, trajs: Sequence, dim: int) -> np.ndarray:
+    """One validated float64 encode of ``trajs`` -> ``(B, dim)``."""
+    out = np.asarray(encode_fn(trajs), dtype=np.float64)
+    if out.shape != (len(trajs), dim):
+        raise ValueError(f"encoder returned {out.shape}, expected ({len(trajs)}, {dim})")
+    return out
+
+
+def encode_chunked(encode_fn: Callable, trajs: Sequence, dim: int, chunk: int) -> np.ndarray:
+    """Build-path encode of ``trajs`` in batches of ``chunk`` -> ``(N, dim)``."""
+    chunk = max(chunk, 1)
+    parts = [
+        encode_block(encode_fn, trajs[lo : lo + chunk], dim)
+        for lo in range(0, len(trajs), chunk)
+    ]
+    return np.concatenate(parts, axis=0) if parts else np.zeros((0, dim))
+
+
+# ----------------------------------------------------------------------
+# Search: one exact scan, one brute-vs-HNSW policy.
+# ----------------------------------------------------------------------
+def exact_scan(block: np.ndarray, query: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact top-``k`` rows of ``block`` nearest ``query``: ``(squared L2, rows)``.
+
+    A stable argsort, so ties resolve to the lowest row.  Every tier
+    (the engine's brute path, a shard worker, the coordinator's scan of a
+    dead shard's retained block) ranks with this one arithmetic, which is
+    what keeps a degraded scatter-gather merge bit-exact.
+    """
+    diffs = np.asarray(block) - query[None, :]
+    sq = (diffs**2).sum(axis=1)
+    order = np.argsort(sq, kind="stable")[: max(k, 0)]
+    return sq[order], order
+
+
+def search_embeddings(
+    index: HNSWIndex, embedding: np.ndarray, k: int, brute_threshold: int,
+    ef_search: Optional[int] = None,
+) -> Tuple[np.ndarray, np.ndarray, str]:
+    """The search policy: ``(squared L2, index ids, source)`` for ``embedding``.
+
+    Brute force (:func:`exact_scan`) up to ``brute_threshold`` stored
+    vectors or when ``k`` exceeds half of them, HNSW beam search above;
+    ``k`` is clamped to the index size and ``k < 1`` answers empty.
+    Distances are squared on every path (the sharded merge's contract);
+    squaring the graph's root distances is exact (``sqrt(d*d) == d``).
+    """
+    n = len(index)
+    k_eff = min(k, n)
+    if k_eff < 1:
+        return np.zeros(0), np.zeros(0, dtype=int), "brute"
+    if n <= brute_threshold or k_eff > n // 2:
+        sq, ids = exact_scan(index.vectors[:n], embedding, k_eff)
+        return sq, ids, "brute"
+    dists, ids = index.query(embedding, k=k_eff, ef=ef_search)
+    return dists**2, ids, "hnsw"
+
+
+# ----------------------------------------------------------------------
+# The degradation ladder shared by both servers.
+# ----------------------------------------------------------------------
+def open_request(
+    cache: EmbeddingCache, traj, trace, deadline_s: Optional[float]
+) -> Tuple[np.ndarray, str, Optional[np.ndarray]]:
+    """Count and annotate a ``topk`` request, then probe the cache.
+
+    Returns ``(points, content key, cached embedding or None)``; the
+    probe runs under the trace's ``cache`` span.
+    """
+    get_registry().counter("serve.query.requests").inc()
+    if deadline_s is not None:
+        trace.set(deadline_s=deadline_s)
+    points = as_points(traj)
+    key = trajectory_key(points)
+    with trace.span("cache") as cache_span:
+        cached = cache.get(key)
+        cache_span.set(result="miss" if cached is None else "hit")
+    trace.set(cache_hit=cached is not None)
+    return points, key, cached
+
+
+def empty_result(k: int, start: float, source: str, degraded: bool) -> ServeResult:
+    """A zero-hit answer built from literals only: it cannot raise."""
+    return ServeResult(
+        ids=np.zeros(0, dtype=int),
+        distances=np.zeros(0),
+        degraded=degraded,
+        cache_hit=False,
+        source=source,
+        seconds=time.perf_counter() - start,
+        k=k,
+    )
+
+
+def embedding_answer(
+    sq: np.ndarray, ids: np.ndarray, k: int, start: float, cache_hit: bool,
+    source: str, degraded: bool = False, **annotations,
+) -> ServeResult:
+    """An embedding-space answer from squared distances, counted and traced."""
+    registry = get_registry()
+    registry.counter("serve.query.degraded" if degraded else "serve.query.answered").inc()
+    get_tracer().annotate(degraded=degraded, source=source, **annotations)
+    registry.histogram("serve.query.seconds").observe(time.perf_counter() - start)
+    return ServeResult(
+        ids=np.asarray(ids, dtype=int),
+        # Squared L2 values are nonnegative by construction.
+        distances=np.sqrt(np.asarray(sq, dtype=float)),  # lint: allow(N002)
+        degraded=degraded,
+        cache_hit=cache_hit,
+        source=source,
+        seconds=time.perf_counter() - start,
+        k=k,
+    )
+
+
+def exact_metric_topk(
+    points: np.ndarray, subset: Sequence[np.ndarray], metric: MetricSpec, k: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """True-metric top-k of ``points`` against ``subset``: ``(order, dists)``.
+
+    One padded batch evaluation of ``metric`` followed by a stable
+    argsort, so ties resolve to the lowest subset index; ``k < 1``
+    selects nothing.
+    """
+    stacked, lengths = pad_trajectories([points] + list(subset))
+    q_stack = np.repeat(stacked[:1], len(subset), axis=0)
+    q_len = np.repeat(lengths[:1], len(subset))
+    dists = metric.batch(q_stack, stacked[1:], q_len, lengths[1:])
+    order = np.argsort(dists, kind="stable")[: max(k, 0)]
+    return order, np.asarray(dists[order], dtype=float)
+
+
+def degraded_answer(
+    points: np.ndarray, subset: Sequence[np.ndarray], metric: MetricSpec,
+    k: int, start: float, reason: str,
+) -> ServeResult:
+    """The true-metric rung: exact ``metric`` top-k over a bounded subset.
+
+    Used when no embedding could be obtained in time (deadline, failed
+    batch, no live worker, unexpected fault).  The answer is exact *on
+    that subset*, trading coverage for bounded latency instead of
+    raising; ``reason`` and the scanned count land on a ``degraded``
+    span of the request trace so the answer is attributable.
+    """
+    get_registry().counter("serve.query.degraded").inc()
+    get_tracer().annotate(degraded=True, degraded_reason=reason, source="degraded-exact")
+    if not subset or k < 1:
+        return empty_result(k, start, "degraded-exact", degraded=True)
+    with trace_span("degraded") as deg_span:
+        deg_span.set(reason=reason, scanned=len(subset))
+        order, dists = exact_metric_topk(points, subset, metric, k)
+    return ServeResult(
+        ids=np.asarray(order, dtype=int),
+        distances=dists,
+        degraded=True,
+        cache_hit=False,
+        source="degraded-exact",
+        seconds=time.perf_counter() - start,
+        k=k,
+    )
+
+
+def last_resort(
+    degrade: Callable[[np.ndarray, int, float, str], ServeResult],
+    traj, k: int, start: float, exc: Exception,
+) -> ServeResult:
+    """The floor behind both never-raises ``topk`` guards.
+
+    Tries the server's true-metric rung (``degrade``); if even that
+    faults (the situation the contract exists for), answers with
+    :func:`empty_result`.
+    """
+    try:
+        get_registry().counter("serve.query.unexpected_errors").inc()
+        return degrade(as_points(traj), k, start, f"unexpected:{type(exc).__name__}")
+    except Exception as inner:
+        _LOG.error("topk-last-resort", error=type(inner).__name__, k=k)
+        return empty_result(k, start, "degraded-exact", degraded=True)
+
+
+def publish_memory(
+    registry, n_trajs: int, store_bytes: int, cache_bytes: int, index_bytes: int
+) -> dict:
+    """Mirror one byte audit of the serving structures into gauges.
+
+    Derives the headline ``bytes_per_trajectory`` (accounted payload
+    bytes divided by stored trajectories) and sets ``serve.*.bytes``,
+    ``serve.store.bytes_per_trajectory``, ``mem.rss_bytes`` and
+    ``mem.peak_rss_bytes``, so the SLO monitor and the bench gate read
+    the same numbers the returned dict carries.
+    """
+    from ..obs.memory import update_memory_gauges
+
+    total = store_bytes + cache_bytes + index_bytes
+    per_traj = total / n_trajs if n_trajs else 0.0
+    reg = registry if registry is not None else get_registry()
+    reg.gauge("serve.store.bytes").set(store_bytes)
+    reg.gauge("serve.cache.bytes").set(cache_bytes)
+    reg.gauge("serve.index.bytes").set(index_bytes)
+    reg.gauge("serve.store.bytes_per_trajectory").set(per_traj)
+    process = update_memory_gauges(reg)
+    return {
+        "n_trajectories": n_trajs,
+        "store_bytes": store_bytes,
+        "cache_bytes": cache_bytes,
+        "index_bytes": index_bytes,
+        "total_bytes": total,
+        "bytes_per_trajectory": per_traj,
+        "rss_bytes": process["rss_bytes"],
+        "peak_rss_bytes": process["peak_rss_bytes"],
+    }
 
 
 class SimilarityServer:
@@ -148,49 +378,26 @@ class SimilarityServer:
         degraded_scan_limit: int = 256,
         seed: int = 0,
     ):
-        # Models expose .encode (and are also callable via Module.__call__),
-        # so the attribute check must come first.
-        if hasattr(encode_fn, "encode"):
-            self._encode_raw = encode_fn.encode
-        elif callable(encode_fn):
-            self._encode_raw = encode_fn
-        else:
-            raise TypeError("encode_fn must be callable or expose .encode()")
+        self._encode_raw = resolve_encoder(encode_fn)
         self.dim = dim
         self.ef_search = ef_search
         self.brute_threshold = brute_threshold
         self.degraded_scan_limit = degraded_scan_limit
         self.index = HNSWIndex(dim, m=m, ef_construction=ef_construction, seed=seed)
         self.cache = EmbeddingCache(capacity=cache_capacity)
+        # One padded forward per flushed batch, on the batcher thread.
         self.batcher = MicroBatcher(
-            self._encode_batch,
+            lambda trajs: encode_block(self._encode_raw, trajs, dim),
             max_batch_size=max_batch_size,
             max_wait_ms=max_wait_ms,
             idle_grace_ms=idle_grace_ms,
         )
-        self.fallback_metric = (
-            fallback_metric
-            if isinstance(fallback_metric, MetricSpec)
-            else get_metric(fallback_metric)
-        )
-        # Stored trajectories (by database id) for the degraded exact path.
+        self.fallback_metric = resolve_metric(fallback_metric)
+        # Stored trajectories by database id, for the degraded exact path.
+        # The lock also covers index.add, so a trajectory's position here
+        # is always its index id.
         self._trajs: List[np.ndarray] = []
         self._trajs_lock = new_lock("serve.trajs")
-
-    # ------------------------------------------------------------------
-    def _encode_batch(self, trajs: Sequence) -> np.ndarray:
-        """One padded forward over ``trajs``; runs on the batcher thread."""
-        with span("serve-encode"):
-            out = np.asarray(self._encode_raw(trajs), dtype=np.float64)
-        if out.ndim != 2 or out.shape[1] != self.dim:
-            raise ValueError(f"encoder returned {out.shape}, expected (B, {self.dim})")
-        return out
-
-    @staticmethod
-    def _as_points(traj) -> np.ndarray:
-        return np.asarray(
-            traj.points if hasattr(traj, "points") else traj, dtype=np.float64
-        )
 
     # ------------------------------------------------------------------
     def add(self, traj, embedding: Optional[np.ndarray] = None) -> int:
@@ -200,28 +407,24 @@ class SimilarityServer:
         unless supplied; it is cached so a later query for the identical
         trajectory is a cache hit.
         """
-        points = self._as_points(traj)
+        points = as_points(traj)
         if embedding is None:
-            embedding = self._encode_batch([points])[0]
+            embedding = encode_block(self._encode_raw, [points], self.dim)[0]
         embedding = np.asarray(embedding, dtype=np.float64)
         self.cache.put(trajectory_key(points), embedding)
         with self._trajs_lock:
             self._trajs.append(points)
-        node = self.index.add(embedding)
+            node = self.index.add(embedding)
         get_registry().counter("serve.db.size").inc()
         return node
 
     def add_batch(self, trajs: Sequence) -> List[int]:
         """Insert many trajectories with one batched encode per chunk."""
-        points = [self._as_points(t) for t in trajs]
-        ids: List[int] = []
-        chunk = max(self.batcher.max_batch_size, 1)
-        for start in range(0, len(points), chunk):
-            part = points[start : start + chunk]
-            embeddings = self._encode_batch(part)
-            for traj, emb in zip(part, embeddings):
-                ids.append(self.add(traj, embedding=emb))
-        return ids
+        points = [as_points(t) for t in trajs]
+        embeddings = encode_chunked(
+            self._encode_raw, points, self.dim, self.batcher.max_batch_size
+        )
+        return [self.add(p, embedding=e) for p, e in zip(points, embeddings)]
 
     def __len__(self) -> int:
         return len(self.index)
@@ -248,7 +451,8 @@ class SimilarityServer:
 
         ``deadline_s`` bounds the time spent waiting for the encoder; a
         missed deadline (or a failed batch) yields the degraded exact
-        answer.  ``k`` is clamped to the database size.
+        answer.  ``k`` is clamped to the database size; ``k < 1`` answers
+        empty.
         """
         start = time.perf_counter()
         try:
@@ -257,7 +461,7 @@ class SimilarityServer:
             # Last-resort guard: the serving contract is "no exceptions
             # to the caller"; anything unexpected degrades instead.
             _LOG.error("topk-unexpected", error=type(exc).__name__, k=k)
-            return self._last_resort(traj, k, start, exc)
+            return last_resort(self._degraded, traj, k, start, exc)
 
     def _topk_impl(
         self, traj, k: int, deadline_s: Optional[float], start: float
@@ -266,167 +470,43 @@ class SimilarityServer:
 
         May raise; :meth:`topk` owns the never-raises guard.
         """
-        registry = get_registry()
-        registry.counter("serve.query.requests").inc()
         with get_tracer().trace("serve.topk", k=k) as trace:
-            if deadline_s is not None:
-                trace.set(deadline_s=deadline_s)
-            points = self._as_points(traj)
-            key = trajectory_key(points)
-            with trace.span("cache") as cache_span:
-                cached = self.cache.get(key)
-                cache_hit = cached is not None
-                cache_span.set(result="hit" if cache_hit else "miss")
-            trace.set(cache_hit=cache_hit)
-            if cache_hit:
-                embedding = cached
-            else:
+            points, key, embedding = open_request(self.cache, traj, trace, deadline_s)
+            cache_hit = embedding is not None
+            if not cache_hit:
                 remaining = deadline_s
                 if deadline_s is not None:
                     remaining = deadline_s - (time.perf_counter() - start)
                     if remaining <= 0:
-                        return self._degraded(
-                            points, k, start, cache_hit=False,
-                            reason="deadline-before-encode",
-                        )
-                with span("serve-wait"):
-                    # Queue-wait/forward spans are stamped onto this
-                    # trace by the batcher's flush thread (handoff).
-                    try:
-                        embedding = self.batcher.submit(points).result(timeout=remaining)
-                    except FutureTimeoutError:
-                        registry.counter("serve.query.deadline_missed").inc()
-                        return self._degraded(
-                            points, k, start, cache_hit=False,
-                            reason="deadline-missed",
-                        )
-                    except Exception as exc:
-                        _LOG.warning(
-                            "batch-failed", error=type(exc).__name__,
-                            trace_id=trace.trace_id, k=k,
-                        )
-                        return self._degraded(
-                            points, k, start, cache_hit=False,
-                            reason=f"batch-failed:{type(exc).__name__}",
-                        )
+                        return self._degraded(points, k, start, "deadline-before-encode")
+                # Queue-wait/forward spans are stamped onto this trace by
+                # the batcher's flush thread (handoff).
+                try:
+                    embedding = self.batcher.submit(points).result(timeout=remaining)
+                except FutureTimeoutError:
+                    get_registry().counter("serve.query.deadline_missed").inc()
+                    return self._degraded(points, k, start, "deadline-missed")
+                except Exception as exc:
+                    _LOG.warning(
+                        "batch-failed", error=type(exc).__name__,
+                        trace_id=trace.trace_id, k=k,
+                    )
+                    return self._degraded(
+                        points, k, start, f"batch-failed:{type(exc).__name__}"
+                    )
                 self.cache.put(key, embedding)
-            return self._answer(embedding, k, start, cache_hit)
+            with trace.span("index") as index_span:
+                sq, ids, source = search_embeddings(
+                    self.index, embedding, k, self.brute_threshold, self.ef_search
+                )
+                index_span.set(source=source, n=len(self.index), k=len(ids))
+            return embedding_answer(sq, ids, k, start, cache_hit, source)
 
-    def _last_resort(self, traj, k: int, start: float, exc: Exception) -> ServeResult:
-        """Absolute fallback behind the never-raises contract.
-
-        Tries the degraded exact path; if even that faults (the situation
-        the contract exists for), answers with an empty result built from
-        literals only — the one construction the exception model proves
-        cannot raise.
-        """
-        try:
-            get_registry().counter("serve.query.unexpected_errors").inc()
-            return self._degraded(
-                self._as_points(traj), k, start, cache_hit=False,
-                reason=f"unexpected:{type(exc).__name__}",
-            )
-        except Exception as inner:
-            _LOG.error("topk-last-resort", error=type(inner).__name__, k=k)
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=True,
-                cache_hit=False,
-                source="degraded-exact",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
-
-    # ------------------------------------------------------------------
-    def _answer(
-        self, embedding: np.ndarray, k: int, start: float, cache_hit: bool
-    ) -> ServeResult:
-        """Index-backed answer from a resolved embedding."""
-        n = len(self.index)
-        if n == 0:
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=False,
-                cache_hit=cache_hit,
-                source="brute",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
-        k_eff = min(k, n)
-        with span("serve-index"), trace_span("index") as index_span:
-            if n <= self.brute_threshold or k_eff > n // 2:
-                diffs = np.asarray(self.index.vectors[:n]) - embedding[None, :]
-                sq = (diffs**2).sum(axis=1)
-                order = np.argsort(sq, kind="stable")[:k_eff]
-                # Squared L2 values are nonnegative by construction.
-                dists = np.sqrt(sq[order])  # lint: allow(N002)
-                ids = order
-                source = "brute"
-            else:
-                dists, ids = self.index.query(embedding, k=k_eff, ef=self.ef_search)
-                source = "hnsw"
-            index_span.set(source=source, n=n, k=k_eff)
-        tracer = get_tracer()
-        tracer.annotate(degraded=False, source=source)
-        get_registry().counter("serve.query.answered").inc()
-        get_registry().histogram("serve.query.seconds").observe(
-            time.perf_counter() - start
-        )
-        return ServeResult(
-            ids=np.asarray(ids, dtype=int),
-            distances=np.asarray(dists, dtype=float),
-            degraded=False,
-            cache_hit=cache_hit,
-            source=source,
-            seconds=time.perf_counter() - start,
-            k=k,
-        )
-
-    def _degraded(
-        self,
-        points: np.ndarray,
-        k: int,
-        start: float,
-        cache_hit: bool,
-        reason: str = "unknown",
-    ) -> ServeResult:
-        """Deadline/fault fallback: exact metric over a bounded subset.
-
-        Scans up to ``degraded_scan_limit`` stored trajectories with the
-        true trajectory metric — the answer is exact *on that subset*,
-        trading coverage for bounded latency instead of raising.
-        ``reason`` is recorded on the request trace so a degraded answer
-        is attributable (deadline vs. fault vs. unexpected error).
-        """
-        registry = get_registry()
-        registry.counter("serve.query.degraded").inc()
-        get_tracer().annotate(degraded=True, degraded_reason=reason, source="degraded-exact")
+    def _degraded(self, points: np.ndarray, k: int, start: float, reason: str) -> ServeResult:
+        """:func:`degraded_answer` over the first ``degraded_scan_limit`` trips."""
         with self._trajs_lock:
-            subset = list(self._trajs[: self.degraded_scan_limit])
-        if not subset:
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=True,
-                cache_hit=cache_hit,
-                source="degraded-exact",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
-        with span("serve-degraded"), trace_span("degraded") as deg_span:
-            deg_span.set(reason=reason, scanned=len(subset))
-            order, dists = exact_metric_topk(points, subset, self.fallback_metric, k)
-        return ServeResult(
-            ids=np.asarray(order, dtype=int),
-            distances=dists,
-            degraded=True,
-            cache_hit=cache_hit,
-            source="degraded-exact",
-            seconds=time.perf_counter() - start,
-            k=k,
-        )
+            subset = self._trajs[: self.degraded_scan_limit]
+        return degraded_answer(points, subset, self.fallback_metric, k, start, reason)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -444,38 +524,14 @@ class SimilarityServer:
 
         Audits the three stores the million-trajectory ROADMAP item must
         shrink — embedding cache, HNSW index, raw trajectory store — and
-        derives the headline ``bytes_per_trajectory`` (accounted payload
-        bytes divided by stored trajectories).  Every figure is mirrored
-        into registry gauges (``serve.*.bytes``,
-        ``serve.store.bytes_per_trajectory``, ``mem.rss_bytes``,
-        ``mem.peak_rss_bytes``) so the SLO monitor and the bench gate
-        read the same numbers this method returns.
+        mirrors them through :func:`publish_memory`.
         """
-        from ..obs.memory import update_memory_gauges
-
         with self._trajs_lock:
             store_bytes = sum(t.nbytes for t in self._trajs)
             n_trajs = len(self._trajs)
-        cache_bytes = self.cache.nbytes
-        index_bytes = self.index.nbytes
-        total = store_bytes + cache_bytes + index_bytes
-        per_traj = total / n_trajs if n_trajs else 0.0
-        reg = registry if registry is not None else get_registry()
-        reg.gauge("serve.store.bytes").set(store_bytes)
-        reg.gauge("serve.cache.bytes").set(cache_bytes)
-        reg.gauge("serve.index.bytes").set(index_bytes)
-        reg.gauge("serve.store.bytes_per_trajectory").set(per_traj)
-        process = update_memory_gauges(reg)
-        return {
-            "n_trajectories": n_trajs,
-            "store_bytes": store_bytes,
-            "cache_bytes": cache_bytes,
-            "index_bytes": index_bytes,
-            "total_bytes": total,
-            "bytes_per_trajectory": per_traj,
-            "rss_bytes": process["rss_bytes"],
-            "peak_rss_bytes": process["peak_rss_bytes"],
-        }
+        return publish_memory(
+            registry, n_trajs, store_bytes, self.cache.nbytes, self.index.nbytes
+        )
 
     def close(self) -> None:
         """Shut down the batcher thread; pending encodes fail cleanly."""

@@ -21,16 +21,22 @@ breaks that ceiling with a process pool:
   and merges with :func:`merge_topk` — exact, with the same tie order as
   a single stable-argsort over one global index.
 
-Degradation contract (the same never-raises promise as the single-process
-engine, statically verified by the E001 pass):
+Degradation contract: the single-process engine's ladder, run over
+shards.  :class:`ShardedSimilarityServer` calls the same plain functions
+in :mod:`repro.serve.engine` the one-shard server does —
+:func:`~repro.serve.engine.search_embeddings` in every worker,
+:func:`~repro.serve.engine.exact_scan` for a missing shard,
+:func:`~repro.serve.engine.degraded_answer` and
+:func:`~repro.serve.engine.last_resort` below that — and the E001 pass
+statically verifies its never-raises ``topk``:
 
 - a shard that is dead, hung past its deadline, or erroring is covered by
   an exact brute-force scan over the coordinator's retained copy of that
   shard's embedding block — the answer is *degraded-but-exact in
   embedding space* (``degraded=True``, coverage intact);
-- if encoding itself fails everywhere, the true-metric fallback scans the
-  coordinator's retained trajectories (identical to the single-process
-  degraded path);
+- if encoding itself fails everywhere, the true-metric rung scans the
+  coordinator's retained trajectories (the engine's degraded answer,
+  with the same ``degraded`` trace span);
 - anything unexpected lands in a literal-only empty result, the one
   construction the exception model proves cannot raise.
 
@@ -57,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..index.hnsw import HNSWIndex
-from ..metrics import MetricSpec, get_metric
+from ..metrics import MetricSpec
 from ..obs.expo import register_scrape_hook, unregister_scrape_hook
 from ..obs.lockstats import new_lock
 from ..obs.log import get_logger
@@ -72,7 +78,21 @@ from ..obs.trace import (
 )
 from .batcher import MicroBatcher
 from .cache import EmbeddingCache, trajectory_key
-from .engine import ServeResult, exact_metric_topk
+from .engine import (
+    ServeResult,
+    as_points,
+    degraded_answer,
+    embedding_answer,
+    encode_block,
+    encode_chunked,
+    exact_scan,
+    last_resort,
+    open_request,
+    publish_memory,
+    resolve_encoder,
+    resolve_metric,
+    search_embeddings,
+)
 
 __all__ = [
     "SHM_PREFIX",
@@ -92,6 +112,9 @@ SHM_PREFIX = "reproshard"
 #: Process-wide source of unique segment suffixes (pid reuse is handled
 #: by retrying on name collision, see ``_ShmSlab``).
 _SEGMENT_COUNTER = itertools.count()
+
+#: Longest a build-path ``add_batch`` waits on one live worker.
+_BUILD_TIMEOUT_S = 600.0
 
 
 class ShardDeadError(RuntimeError):
@@ -314,50 +337,6 @@ class _ShardSpec:
     seed: int = 0
 
 
-def _encode_block(encode_fn: Callable, trajs: Sequence, dim: int) -> np.ndarray:
-    """One validated float64 encode of ``trajs`` -> ``(B, dim)``."""
-    out = np.asarray(encode_fn(trajs), dtype=np.float64)
-    if out.ndim != 2 or out.shape != (len(trajs), dim):
-        raise ValueError(f"encoder returned {out.shape}, expected ({len(trajs)}, {dim})")
-    return out
-
-
-def _resolve_encoder(encoder: object) -> Callable:
-    """The encode callable behind ``encoder`` (model-or-callable duality)."""
-    if hasattr(encoder, "encode"):
-        return encoder.encode
-    if callable(encoder):
-        return encoder
-    raise TypeError("shard encoder must be callable or expose .encode()")
-
-
-def _shard_search(
-    index: HNSWIndex, gids: np.ndarray, embedding: np.ndarray, k: int, spec: _ShardSpec
-) -> Tuple[np.ndarray, np.ndarray]:
-    """This shard's local top-k as ``(squared L2, global ids)``.
-
-    Mirrors the single-process engine's answer policy — brute force below
-    ``brute_threshold`` (exact; stable argsort so ties resolve to the
-    lowest local insertion order, i.e. the lowest global id within the
-    shard) and graph search above it.  Distances stay *squared* on the
-    wire: the coordinator merges on squared values and applies the square
-    root once, exactly like the engine's brute path.
-    """
-    n = len(index)
-    if n == 0:
-        return np.zeros(0), np.zeros(0, dtype=int)
-    k_eff = min(k, n)
-    if n <= spec.brute_threshold or k_eff > n // 2:
-        diffs = np.asarray(index.vectors[:n]) - embedding[None, :]
-        sq = (diffs**2).sum(axis=1)
-        order = np.argsort(sq, kind="stable")[:k_eff]
-        return sq[order], gids[order]
-    dists, ids = index.query(embedding, k=k_eff, ef=spec.ef_search)
-    # The graph path returns root distances; square back for the uniform
-    # squared-L2 wire contract (approximate path, wobble is acceptable).
-    return dists**2, gids[ids]
-
-
 def _shard_worker_main(
     spec: _ShardSpec,
     shard_idx: int,
@@ -374,14 +353,14 @@ def _shard_worker_main(
     ``error`` payload — the loop itself must survive anything a single
     request throws, or the whole shard dies with it.
     """
-    encode_fn = _resolve_encoder(spec.encoder)
+    encode_fn = resolve_encoder(spec.encoder)
     index = HNSWIndex(
         spec.dim, m=spec.m, ef_construction=spec.ef_construction,
         seed=spec.seed + shard_idx,
     )
     gids: List[int] = []
     batcher = MicroBatcher(
-        lambda trajs: _encode_block(encode_fn, trajs, spec.dim),
+        lambda trajs: encode_block(encode_fn, trajs, spec.dim),
         max_batch_size=spec.max_batch_size,
         max_wait_ms=spec.max_wait_ms,
         idle_grace_ms=spec.idle_grace_ms,
@@ -483,9 +462,10 @@ def _handle_worker_msg(
             with rtrace.span("search") as search_span:
                 if hooks.get("search_delay_s"):
                     time.sleep(hooks["search_delay_s"])
-                sq, found = _shard_search(
-                    index, np.asarray(gids, dtype=int), embedding, msg["k"], spec
+                sq, ids, _ = search_embeddings(
+                    index, embedding, msg["k"], spec.brute_threshold, spec.ef_search
                 )
+                found = np.asarray(gids, dtype=int)[ids]
                 search_span.set(n=len(index))
         resp = {
             "seq": seq,
@@ -545,13 +525,7 @@ def _handle_worker_msg(
         # inserts; the response returns the embeddings so the coordinator
         # can retain this shard's block for exact fallback scans.
         trajs = [np.asarray(t, dtype=np.float64) for t in msg["trajs"]]
-        parts: List[np.ndarray] = []
-        chunk = max(spec.max_batch_size, 1)
-        for lo in range(0, len(trajs), chunk):
-            parts.append(_encode_block(encode_fn, trajs[lo : lo + chunk], spec.dim))
-        embeddings = (
-            np.concatenate(parts, axis=0) if parts else np.zeros((0, spec.dim))
-        )
+        embeddings = encode_chunked(encode_fn, trajs, spec.dim, spec.max_batch_size)
         for gid, embedding in zip(msg["gids"], embeddings):
             index.add(embedding)
             gids.append(int(gid))
@@ -796,7 +770,6 @@ class ShardedSimilarityServer:
         degraded_scan_limit: int = 256,
         slots: int = 64,
         slot_bytes: int = 32768,
-        build_timeout_s: float = 600.0,
         stats_ttl_s: float = 1.0,
         seed: int = 0,
     ):
@@ -808,14 +781,9 @@ class ShardedSimilarityServer:
         self.n_shards = n_shards
         self.strategy = strategy
         self.shard_deadline_s = shard_deadline_s
-        self.build_timeout_s = build_timeout_s
         self.degraded_scan_limit = degraded_scan_limit
         self.cache = EmbeddingCache(capacity=cache_capacity)
-        self.fallback_metric = (
-            fallback_metric
-            if isinstance(fallback_metric, MetricSpec)
-            else get_metric(fallback_metric)
-        )
+        self.fallback_metric = resolve_metric(fallback_metric)
         self._spec = _ShardSpec(
             encoder=encoder,
             dim=dim,
@@ -855,13 +823,6 @@ class ShardedSimilarityServer:
         register_scrape_hook(self._refresh_on_scrape)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _as_points(traj) -> np.ndarray:
-        """Raw float64 point array behind a trajectory-or-array argument."""
-        return np.asarray(
-            traj.points if hasattr(traj, "points") else traj, dtype=np.float64
-        )
-
     def __len__(self) -> int:
         with self._store_lock:
             return len(self._trajs)
@@ -889,7 +850,7 @@ class ShardedSimilarityServer:
         worker that dies mid-build is a deployment failure, not a query
         to degrade around.
         """
-        points = [self._as_points(t) for t in trajs]
+        points = [as_points(t) for t in trajs]
         with self._store_lock:
             gid0 = len(self._trajs)
             self._trajs.extend(points)
@@ -928,14 +889,14 @@ class ShardedSimilarityServer:
 
     def _await_build(self, handle: _ShardHandle, future: Future) -> dict:
         """Build-path wait: poll the future while the worker stays alive."""
-        deadline = time.perf_counter() + self.build_timeout_s
+        deadline = time.perf_counter() + _BUILD_TIMEOUT_S
         while True:
             try:
                 return future.result(timeout=1.0)
             except FutureTimeoutError:
                 if time.perf_counter() > deadline:
                     raise TimeoutError(
-                        f"shard {handle.idx} build exceeded {self.build_timeout_s}s"
+                        f"shard {handle.idx} build exceeded {_BUILD_TIMEOUT_S}s"
                     ) from None
                 if not handle.process.is_alive():
                     handle.mark_dead("died-during-build")
@@ -961,7 +922,7 @@ class ShardedSimilarityServer:
             # Last-resort guard: the serving contract is "no exceptions
             # to the caller"; anything unexpected degrades instead.
             _LOG.error("sharded-topk-unexpected", error=type(exc).__name__, k=k)
-            return self._last_resort(traj, k, start, exc)
+            return last_resort(self._degraded, traj, k, start, exc)
 
     def _topk_impl(
         self, traj, k: int, deadline_s: Optional[float], start: float
@@ -970,61 +931,20 @@ class ShardedSimilarityServer:
 
         May raise; :meth:`topk` owns the never-raises guard.
         """
-        registry = get_registry()
-        registry.counter("serve.query.requests").inc()
         with get_tracer().trace("serve.topk", k=k, shards=self.n_shards) as trace:
-            if deadline_s is not None:
-                trace.set(deadline_s=deadline_s)
-            points = self._as_points(traj)
-            key = trajectory_key(points)
-            with trace.span("cache") as cache_span:
-                cached = self.cache.get(key)
-                cache_hit = cached is not None
-                cache_span.set(result="hit" if cache_hit else "miss")
-            trace.set(cache_hit=cache_hit)
-            if cache_hit:
-                embedding = cached
-            else:
+            points, key, embedding = open_request(self.cache, traj, trace, deadline_s)
+            cache_hit = embedding is not None
+            if not cache_hit:
                 budget = self.shard_deadline_s
                 if deadline_s is not None:
                     budget = min(budget, deadline_s - (time.perf_counter() - start))
                 if budget <= 0:
-                    return self._degraded_scan(
-                        points, k, start, cache_hit=False,
-                        reason="deadline-before-encode",
-                    )
+                    return self._degraded(points, k, start, "deadline-before-encode")
                 embedding = self._encode_remote(points, budget, trace)
                 if embedding is None:
-                    return self._degraded_scan(
-                        points, k, start, cache_hit=False, reason="encode-failed"
-                    )
+                    return self._degraded(points, k, start, "encode-failed")
                 self.cache.put(key, embedding)
             return self._scatter_gather(embedding, k, start, cache_hit, trace)
-
-    def _last_resort(self, traj, k: int, start: float, exc: Exception) -> ServeResult:
-        """Absolute fallback behind the never-raises contract.
-
-        Tries the degraded exact path; if even that faults, answers with
-        an empty result built from literals only — the one construction
-        the exception model proves cannot raise.
-        """
-        try:
-            get_registry().counter("serve.query.unexpected_errors").inc()
-            return self._degraded_scan(
-                self._as_points(traj), k, start, cache_hit=False,
-                reason=f"unexpected:{type(exc).__name__}",
-            )
-        except Exception as inner:
-            _LOG.error("sharded-topk-last-resort", error=type(inner).__name__, k=k)
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=True,
-                cache_hit=False,
-                source="degraded-exact",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
 
     # ------------------------------------------------------------------
     def _encode_remote(
@@ -1097,18 +1017,9 @@ class ShardedSimilarityServer:
         """Fan out to live shards, gather under deadline, merge exactly."""
         registry = get_registry()
         with self._store_lock:
-            n_total = len(self._trajs)
-        if n_total == 0:
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=False,
-                cache_hit=cache_hit,
-                source="sharded",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
-        k_eff = min(k, n_total)
+            k_eff = min(k, len(self._trajs))
+        if k_eff < 1:
+            return embedding_answer(np.zeros(0), np.zeros(0), k, start, cache_hit, "sharded")
         ctx = trace.context()
         wire_ctx = ctx.to_wire() if ctx is not None else None
         gather_deadline = time.perf_counter() + self.shard_deadline_s
@@ -1136,71 +1047,45 @@ class ShardedSimilarityServer:
         # Per-shard coordinator-side wait, for straggler attribution.
         shard_waits: List[Tuple[int, float]] = []
         for handle, future, sent in pending:
-            remaining = gather_deadline - time.perf_counter()
+            resp: Optional[dict] = None
+            reason: Optional[str] = None  # set when the shard needs a fallback scan
             try:
-                resp = future.result(timeout=max(remaining, 0.0))
+                resp = future.result(timeout=max(gather_deadline - time.perf_counter(), 0.0))
             except FutureTimeoutError:
-                now = time.perf_counter()
-                shard_waits.append((handle.idx, now - sent))
-                if not handle.process.is_alive():
-                    handle.mark_dead("died-mid-query")
-                    trace.record_span(
-                        f"shard-{handle.idx}", sent, now, result="dead", dead=True
-                    )
-                    fallback.append((handle.idx, "dead"))
-                else:
+                if handle.process.is_alive():
                     registry.counter("serve.shard.deadline_missed").inc()
-                    trace.record_span(
-                        f"shard-{handle.idx}", sent, now,
-                        result="deadline", deadline=True,
-                    )
-                    fallback.append((handle.idx, "deadline"))
-                continue
+                    reason, attrs = "deadline", {"result": "deadline", "deadline": True}
+                else:
+                    handle.mark_dead("died-mid-query")
+                    reason, attrs = "dead", {"result": "dead", "dead": True}
             except ShardDeadError:
                 # The reaper failed the pending future: the worker died
                 # with our request in flight.
-                now = time.perf_counter()
-                shard_waits.append((handle.idx, now - sent))
-                trace.record_span(
-                    f"shard-{handle.idx}", sent, now, result="dead", dead=True
-                )
-                fallback.append((handle.idx, "dead"))
-                continue
+                reason, attrs = "dead", {"result": "dead", "dead": True}
             except Exception as exc:
-                _LOG.warning(
-                    "shard-gather-error",
-                    shard=handle.idx,
-                    error=type(exc).__name__,
-                )
-                now = time.perf_counter()
-                shard_waits.append((handle.idx, now - sent))
-                trace.record_span(
-                    f"shard-{handle.idx}", sent, now,
-                    result="error", error=type(exc).__name__,
-                )
-                fallback.append((handle.idx, type(exc).__name__))
-                continue
+                _LOG.warning("shard-gather-error", shard=handle.idx, error=type(exc).__name__)
+                reason = type(exc).__name__
+                attrs = {"result": "error", "error": reason}
+            else:
+                if "error" in resp:
+                    reason, attrs = "worker-error", {"result": "error", "error": resp["error"]}
+                else:
+                    attrs = {
+                        "result": "ok", "n": resp.get("n", 0),
+                        "search_s": resp.get("search_s", 0.0),
+                        "wait_s": resp.get("wait_s", 0.0),
+                    }
+                    parts.append((resp["dists"], resp["gids"]))
             now = time.perf_counter()
             shard_waits.append((handle.idx, now - sent))
-            if "error" in resp:
-                span_id = trace.record_span(
-                    f"shard-{handle.idx}", sent, now,
-                    result="error", error=resp["error"],
-                )
-                self._graft(trace, span_id, resp, ctx, handle.idx)
-                fallback.append((handle.idx, "worker-error"))
-                continue
             # Cross-process stitch: the shard span covers dispatch to
             # gather on the coordinator clock; the worker's subtree
             # (ipc-wait / slab-read / search) is grafted beneath it.
-            span_id = trace.record_span(
-                f"shard-{handle.idx}", sent, now,
-                result="ok", n=resp.get("n", 0),
-                search_s=resp.get("search_s", 0.0),
-                wait_s=resp.get("wait_s", 0.0),
-            )
-            self._graft(trace, span_id, resp, ctx, handle.idx)
-            parts.append((resp["dists"], resp["gids"]))
+            span_id = trace.record_span(f"shard-{handle.idx}", sent, now, **attrs)
+            if resp is not None:
+                self._graft(trace, span_id, resp, ctx, handle.idx)
+            if reason is not None:
+                fallback.append((handle.idx, reason))
         if shard_waits:
             waits = np.asarray([w for _, w in shard_waits], dtype=float)
             trace.set(
@@ -1208,35 +1093,23 @@ class ShardedSimilarityServer:
                 slowest_shard=int(shard_waits[int(np.argmax(waits))][0]),
             )
         for shard_idx, reason in fallback:
+            # A missing shard's portion: the exact scan over the retained
+            # block, same arithmetic and tie order as the worker's.
             with trace.span(f"fallback-{shard_idx}") as fb_span:
                 fb_span.set(reason=reason)
-                parts.append(self._fallback_shard_topk(shard_idx, embedding, k_eff))
+                block, block_gids = self._shard_block(shard_idx)
+                sq, rows = exact_scan(block, embedding, k_eff)
+                parts.append((sq, block_gids[rows]))
             registry.counter("serve.shard.fallback_scans").inc()
         with trace.span("merge") as merge_span:
             sq, gids = merge_topk(parts, k_eff)
-            # Squared L2 values are nonnegative by construction.
-            dists = np.sqrt(sq)  # lint: allow(N002)
             merge_span.set(parts=len(parts))
-        degraded = bool(fallback)
-        if degraded:
-            registry.counter("serve.query.degraded").inc()
-            get_tracer().annotate(
-                degraded=True, source="sharded-fallback",
-                fallback_shards=len(fallback),
+        if fallback:
+            return embedding_answer(
+                sq, gids, k, start, cache_hit, "sharded-fallback",
+                degraded=True, fallback_shards=len(fallback),
             )
-        else:
-            registry.counter("serve.query.answered").inc()
-            get_tracer().annotate(degraded=False, source="sharded")
-        registry.histogram("serve.query.seconds").observe(time.perf_counter() - start)
-        return ServeResult(
-            ids=np.asarray(gids, dtype=int),
-            distances=np.asarray(dists, dtype=float),
-            degraded=degraded,
-            cache_hit=cache_hit,
-            source="sharded-fallback" if degraded else "sharded",
-            seconds=time.perf_counter() - start,
-            k=k,
-        )
+        return embedding_answer(sq, gids, k, start, cache_hit, "sharded")
 
     def _shard_block(self, shard: int) -> Tuple[np.ndarray, np.ndarray]:
         """This shard's retained ``(embeddings, gids)``, stacked and cached."""
@@ -1253,65 +1126,11 @@ class ShardedSimilarityServer:
             self._block_cache[shard] = stacked
         return stacked, gids
 
-    def _fallback_shard_topk(
-        self, shard: int, embedding: np.ndarray, k: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Exact brute scan of one shard's retained embedding block.
-
-        Identical arithmetic to the worker's brute path (same rows, same
-        stable tie order), so a degraded merge stays *exact* in embedding
-        space — a dead shard costs latency, not correctness.
-        """
-        block, gids = self._shard_block(shard)
-        if len(gids) == 0:
-            return np.zeros(0), np.zeros(0, dtype=int)
-        diffs = block - embedding[None, :]
-        sq = (diffs**2).sum(axis=1)
-        order = np.argsort(sq, kind="stable")[: min(k, len(gids))]
-        return sq[order], gids[order]
-
-    def _degraded_scan(
-        self,
-        points: np.ndarray,
-        k: int,
-        start: float,
-        cache_hit: bool,
-        reason: str = "unknown",
-    ) -> ServeResult:
-        """True-metric fallback over the coordinator's retained store.
-
-        The tier below the embedding-space fallback: when no embedding
-        could be obtained at all, the exact trajectory metric is
-        evaluated against a bounded subset — same semantics and bound as
-        the single-process engine's degraded path.
-        """
-        registry = get_registry()
-        registry.counter("serve.query.degraded").inc()
-        get_tracer().annotate(
-            degraded=True, degraded_reason=reason, source="degraded-exact"
-        )
+    def _degraded(self, points: np.ndarray, k: int, start: float, reason: str) -> ServeResult:
+        """:func:`degraded_answer` over the first ``degraded_scan_limit`` trips."""
         with self._store_lock:
-            subset = list(self._trajs[: self.degraded_scan_limit])
-        if not subset:
-            return ServeResult(
-                ids=np.zeros(0, dtype=int),
-                distances=np.zeros(0),
-                degraded=True,
-                cache_hit=cache_hit,
-                source="degraded-exact",
-                seconds=time.perf_counter() - start,
-                k=k,
-            )
-        order, dists = exact_metric_topk(points, subset, self.fallback_metric, k)
-        return ServeResult(
-            ids=np.asarray(order, dtype=int),
-            distances=dists,
-            degraded=True,
-            cache_hit=cache_hit,
-            source="degraded-exact",
-            seconds=time.perf_counter() - start,
-            k=k,
-        )
+            subset = self._trajs[: self.degraded_scan_limit]
+        return degraded_answer(points, subset, self.fallback_metric, k, start, reason)
 
     # ------------------------------------------------------------------
     def shard_stats(self, timeout_s: float = 2.0) -> Dict[int, dict]:
@@ -1436,7 +1255,7 @@ class ShardedSimilarityServer:
         derives ``bytes_per_trajectory`` over the accounted structures —
         the same gauges the memory SLOs and the bench gate read.
         """
-        from ..obs.memory import rss_bytes, update_memory_gauges
+        from ..obs.memory import rss_bytes
 
         with self._store_lock:
             n_trajs = len(self._trajs)
@@ -1456,26 +1275,12 @@ class ShardedSimilarityServer:
                 rss = rss_bytes(pid=pid)
                 worker_rss += rss
                 reg.gauge(f"serve.shard.{idx}.rss_bytes").set(rss)
-        total = store_bytes + block_bytes + cache_bytes + index_bytes
-        per_traj = total / n_trajs if n_trajs else 0.0
-        reg.gauge("serve.store.bytes").set(store_bytes + block_bytes)
-        reg.gauge("serve.cache.bytes").set(cache_bytes)
-        reg.gauge("serve.index.bytes").set(index_bytes)
-        reg.gauge("serve.store.bytes_per_trajectory").set(per_traj)
         reg.gauge("serve.shard.worker_rss_bytes").set(worker_rss)
-        process = update_memory_gauges(reg)
-        return {
-            "n_trajectories": n_trajs,
-            "store_bytes": store_bytes,
-            "block_bytes": block_bytes,
-            "cache_bytes": cache_bytes,
-            "index_bytes": index_bytes,
-            "total_bytes": total,
-            "bytes_per_trajectory": per_traj,
-            "worker_rss_bytes": worker_rss,
-            "rss_bytes": process["rss_bytes"],
-            "peak_rss_bytes": process["peak_rss_bytes"],
-        }
+        out = publish_memory(
+            reg, n_trajs, store_bytes + block_bytes, cache_bytes, index_bytes
+        )
+        out.update(store_bytes=store_bytes, block_bytes=block_bytes, worker_rss_bytes=worker_rss)
+        return out
 
     def close(self) -> None:
         """Stop every worker, release every segment; idempotent, no raise."""

@@ -701,6 +701,12 @@ class TestNeverRaisesContract:
         assert model.escapes[topk] == set()
         impl = "src/repro/serve/shard.py::ShardedSimilarityServer._topk_impl"
         assert model.escapes[impl], "expected sharded _topk_impl to have escapes"
+        # Not vacuous either: the scatter-gather code in shard.py itself
+        # raises behind the guard, not only the shared engine functions.
+        assert any(
+            esc.origin_module.endswith("serve/shard.py")
+            for esc in model.escapes[impl]
+        )
 
     def test_narrowed_catch_fails_with_the_propagation_chain(self, tmp_path):
         """Static/dynamic agreement, static side: un-guard topk -> E001.

@@ -204,6 +204,62 @@ class TestBatcherShutdown:
 
 
 # ---------------------------------------------------------------------------
+# SimilarityServer.add: one id per trajectory under concurrent adds
+# ---------------------------------------------------------------------------
+
+
+class TestAddIdRace:
+    def test_stalled_add_keeps_store_and_index_ids_aligned(self):
+        """Add ``a`` stalls inside ``index.add`` while ``b`` is added.
+
+        The trajectory store (read by the degraded path) and the index
+        (read by the normal path) must give each trajectory the same id,
+        so a normal and a degraded answer for ``a`` name the same row.
+        """
+        a, b = _trajs(2, seed=31, length=6)
+        with SimilarityServer(_embed, dim=DIM, seed=0) as server:
+            real_add = server.index.add
+            a_inside, b_inside, release = (threading.Event() for _ in range(3))
+
+            def stalling_add(vector):
+                if not a_inside.is_set():
+                    a_inside.set()
+                    release.wait(timeout=10)
+                else:
+                    b_inside.set()
+                return real_add(vector)
+
+            server.index.add = stalling_add
+            ids = {}
+
+            def add(name, traj):
+                ids[name] = server.add(traj)
+
+            thread_a = threading.Thread(target=add, args=("a", a))
+            thread_a.start()
+            assert a_inside.wait(timeout=10)
+            thread_b = threading.Thread(target=add, args=("b", b))
+            thread_b.start()
+            # Give b the chance to overtake a; a correct server holds it back.
+            b_inside.wait(timeout=0.5)
+            release.set()
+            thread_a.join(timeout=10)
+            thread_b.join(timeout=10)
+            assert not thread_a.is_alive() and not thread_b.is_alive()
+            del server.index.add
+            assert sorted(ids.values()) == [0, 1]
+
+            server.cache.clear()
+            trajs = {"a": a, "b": b}
+            degraded = {n: server.topk(t, k=1, deadline_s=0.0) for n, t in trajs.items()}
+            normal = {n: server.topk(t, k=1) for n, t in trajs.items()}
+            for name in trajs:
+                assert degraded[name].degraded and not normal[name].degraded
+                assert degraded[name].ids.tolist() == [ids[name]]
+                assert normal[name].ids.tolist() == [ids[name]]
+
+
+# ---------------------------------------------------------------------------
 # Bench harness: switch-interval restoration on the failure path
 # ---------------------------------------------------------------------------
 

@@ -13,9 +13,11 @@ the same contract.
 import numpy as np
 import pytest
 
+from repro.obs import get_registry, get_tracer
 from repro.serve import (
     FeatureEncoder,
     ShardedSimilarityServer,
+    SimilarityServer,
     assign_shard,
     merge_topk,
     trajectory_key,
@@ -187,7 +189,7 @@ def test_sharded_topk_is_exact_over_processes(n_shards, strategy):
 def test_hnsw_path_matches_in_process_replica():
     """Worker HNSW answers equal a replica rebuilt from its state dump."""
     from repro.index.hnsw import HNSWIndex
-    from repro.serve.shard import _shard_search
+    from repro.serve.engine import search_embeddings
 
     trajs = _trajs(48, seed=5)
     enc = FeatureEncoder(dim=DIM, seed=0)
@@ -211,10 +213,11 @@ def test_hnsw_path_matches_in_process_replica():
         assert not result.degraded
         qe = srv.cache.get(trajectory_key(q))
         assert qe is not None
-        parts = [
-            _shard_search(index, gids, qe, 4, srv._spec)
-            for index, gids in replicas
-        ]
+        parts = []
+        for index, gids in replicas:
+            sq, ids, source = search_embeddings(index, qe, 4, brute_threshold=0)
+            assert source == "hnsw"
+            parts.append((sq, gids[ids]))
         exp_sq, exp_ids = merge_topk(parts, 4)
         assert np.array_equal(result.ids, exp_ids)
         assert np.array_equal(result.distances, np.sqrt(exp_sq))
@@ -239,5 +242,92 @@ def test_add_after_serving_is_visible():
         hit = srv.topk(np.asarray(probe) + 0.0, k=1)
         assert hit.ids[0] == 12  # the trajectory itself is now nearest
         assert hit.distances[0] == 0.0
+    finally:
+        srv.close()
+
+
+# ---------------------------------------------------------------------------
+# One ladder: both servers answer edge cases and degrade the same way
+# ---------------------------------------------------------------------------
+
+BOTH_SERVERS = [False, pytest.param(True, marks=pytest.mark.shard, id="sharded")]
+
+
+class _SwitchableEncoder:
+    """FeatureEncoder that raises once ``down`` is set (in-process only)."""
+
+    def __init__(self):
+        self.inner = FeatureEncoder(dim=DIM, seed=0)
+        self.down = False
+
+    def __call__(self, trajs):
+        if self.down:
+            raise RuntimeError("encoder down")
+        return self.inner(trajs)
+
+
+def _either_server(sharded, encoder, **kw):
+    if sharded:
+        return ShardedSimilarityServer(
+            encoder, dim=DIM, n_shards=2, shard_deadline_s=30.0, **kw
+        )
+    return SimilarityServer(encoder, DIM, **kw)
+
+
+@pytest.mark.parametrize("sharded", BOTH_SERVERS)
+def test_k_below_one_is_an_empty_normal_answer(sharded):
+    """``k in {0, -1}`` answers empty and not degraded on both servers.
+
+    ``brute_threshold=4`` puts every search on the HNSW path, which
+    rejects ``k < 1``; the shared search policy must answer before it.
+    """
+    trajs = _trajs(24, seed=13)
+    srv = _either_server(sharded, FeatureEncoder(dim=DIM, seed=0), brute_threshold=4)
+    unexpected = get_registry().counter("serve.query.unexpected_errors")
+    try:
+        srv.add_batch(trajs)
+        before = unexpected.value
+        for k in (0, -1):
+            for query in (trajs[3], _trajs(1, seed=77)[0]):  # cached, fresh
+                result = srv.topk(query, k=k)
+                assert not result.degraded, (k, result.source)
+                assert result.ids.shape == (0,)
+                assert result.distances.shape == (0,)
+        assert unexpected.value == before
+    finally:
+        srv.close()
+
+
+@pytest.mark.parametrize("sharded", BOTH_SERVERS)
+def test_encoder_down_answers_record_one_degraded_span(sharded):
+    """An encoder-down answer has the same trace shape on both servers.
+
+    The single-process encoder raises mid-batch; the sharded server
+    loses every worker, so no embedding can be had at all.  Either way
+    the answer comes from the true-metric rung and the request trace
+    carries one ``degraded`` span with ``reason`` and ``scanned``.
+    """
+    trajs = _trajs(10, seed=21)
+    encoder = FeatureEncoder(dim=DIM, seed=0) if sharded else _SwitchableEncoder()
+    srv = _either_server(sharded, encoder)
+    tracer = get_tracer()
+    try:
+        srv.add_batch(trajs)
+        if sharded:
+            for handle in srv._handles:
+                handle.process.kill()
+                handle.process.join(timeout=10)
+        else:
+            encoder.down = True
+        tracer.reset()
+        result = srv.topk(_trajs(1, seed=88)[0], k=3)
+        assert result.degraded and result.source == "degraded-exact"
+        (trace,) = tracer.recent(name="serve.topk")
+        assert trace.attrs["degraded"] is True
+        assert trace.attrs["source"] == "degraded-exact"
+        spans = [e for e in trace.events if e["name"] == "degraded"]
+        assert len(spans) == 1
+        assert spans[0]["attrs"]["reason"] == trace.attrs["degraded_reason"]
+        assert spans[0]["attrs"]["scanned"] == len(trajs)
     finally:
         srv.close()

@@ -27,6 +27,7 @@ import pytest
 
 from repro.obs import get_registry
 from repro.serve import FeatureEncoder, ShardedSimilarityServer, exact_metric_topk
+from repro.serve.engine import as_points
 
 DIM = 8
 
@@ -162,7 +163,7 @@ def test_all_workers_dead_drops_to_true_metric_scan():
         assert result.degraded
         assert result.source == "degraded-exact"
         order, dists = exact_metric_topk(
-            srv._as_points(q), [np.asarray(t) for t in trajs], srv.fallback_metric, 3
+            as_points(q), [np.asarray(t) for t in trajs], srv.fallback_metric, 3
         )
         assert np.array_equal(result.ids, order)
         assert np.allclose(result.distances, dists)
