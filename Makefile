@@ -9,7 +9,7 @@ install:
 	pip install -e .
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 # All rule families; warning-severity findings (E002/E003/C002/C006) are
 # reported but only error-severity ones break the build.
@@ -49,15 +49,15 @@ lint-json:
 	r['suppressed_count'], 'suppressed')"
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 bench-fast:
-	REPRO_BENCH_FAST=1 pytest benchmarks/ --benchmark-only
+	REPRO_BENCH_FAST=1 PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 # Full-scale bench run whose deliverable is the machine-readable
 # BENCH_results.json perf/quality trajectory (written by benchmarks/conftest.py).
 bench-json:
-	REPRO_BENCH_JSON=BENCH_results.json pytest benchmarks/ --benchmark-only
+	REPRO_BENCH_JSON=BENCH_results.json PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 # Serving-layer benches (micro-batching vs naive encode, plus the sharded
 # process-pool tier vs its single-interpreter control arm); together they

@@ -10,8 +10,8 @@ not).  Likewise calling ``__enter__`` directly bypasses the guaranteed
 Flagged:
 
 - an expression statement that is a bare span-like call —
-  ``span("x")`` / ``self.spans.span("x")`` / ``tracer.trace("x")`` /
-  ``trace_span("x")`` / ``trace.handoff()`` with the result dropped;
+  ``trace.span("x")`` / ``tracer.trace("x")`` / ``trace_span("x")`` /
+  ``trace.handoff()`` with the result dropped;
 - any direct ``something.__enter__()`` call.
 
 Not flagged: ``with span(...):``, results that are stored, returned,

@@ -17,6 +17,7 @@ Gradients are validated against central finite differences in the test suite
 from __future__ import annotations
 
 import functools
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,7 +26,18 @@ ArrayLike = Union[np.ndarray, float, int, Sequence]
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "profiled_op"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode: ``no_grad`` on one thread never leaks into another.
+
+    The class attribute is every thread's starting value, so the hot-path
+    check stays a single attribute read (``_GRAD.enabled``).
+    """
+
+    enabled = True
+
+
+_GRAD = _GradMode()
 
 #: Active op profiler (see :mod:`repro.obs.profile`), or None.  Kept here so
 #: every op — Tensor method or free function — can reach it with one global
@@ -74,19 +86,17 @@ class no_grad:
     """
 
     def __enter__(self) -> "no_grad":
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD.enabled
+        _GRAD.enabled = False
         return self
 
     def __exit__(self, *exc) -> None:
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD.enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the computation graph."""
-    return _GRAD_ENABLED
+    """Return whether operations on the calling thread record the graph."""
+    return _GRAD.enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -145,7 +155,7 @@ class Tensor:
     def __init__(self, data: ArrayLike, requires_grad: bool = False, name: str = ""):
         self.data: np.ndarray = _as_array(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad: bool = bool(requires_grad) and _GRAD.enabled
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self.name = name
@@ -212,7 +222,7 @@ class Tensor:
     ) -> "Tensor":
         """Create a result tensor wired into the tape (if grad is enabled)."""
         parents = tuple(parents)
-        needs_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        needs_grad = _GRAD.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=needs_grad)
         if needs_grad:
             out._parents = parents

@@ -1,7 +1,7 @@
 """Continuous wall-clock stack sampling: which *frames* burn the time.
 
-The span/trace layers (:mod:`repro.obs.spans`, :mod:`repro.obs.trace`)
-attribute time to sections the author thought to instrument.  The
+The span layer (:mod:`repro.obs.trace`) attributes time to sections
+the author thought to instrument.  The
 sampler needs no such foresight: a background thread snapshots every
 thread's Python stack via ``sys._current_frames()`` at a configurable
 rate and aggregates identical stacks into counts, so the hot frames of

@@ -1,12 +1,14 @@
 """Request-scoped tracing: the causal story of one query or one epoch.
 
-:mod:`repro.obs.spans` answers "where does the *aggregate* time go";
-this module answers "where did *this request's* time go".  A
-:class:`Trace` carries a process-unique id and an ordered list of span
-events — name, wall-clock start/end, ``key=value`` attributes, recording
-thread — forming a parent/child tree rooted at the trace itself.  The
-serving path opens one trace per ``topk`` request, the trainer one per
-epoch.
+This is the repo's one span API.  A :class:`Trace` carries a
+process-unique id and an ordered list of span events — name, wall-clock
+start/end, ``key=value`` attributes, recording thread — forming a
+parent/child tree rooted at the trace itself, and keeps per-path totals
+(``{"batch/forward": {"seconds", "count"}}``) updated as each span
+closes, so the aggregate breakdown survives the ``max_events`` event
+budget.  The serving path opens one trace per ``topk`` request, the
+trainer one per epoch (its ``on_epoch`` span breakdown is that trace's
+totals).
 
 Cross-thread handoff is explicit: when work hops threads (a serve
 request enters the :class:`~repro.serve.batcher.MicroBatcher` queue and
@@ -82,6 +84,13 @@ __all__ = [
 ROOT = 0
 
 
+def _child_path(parent_path: str, name: str) -> str:
+    """``parent_path/name`` (just ``name`` at the root); names may not hold '/'."""
+    if "/" in name:
+        raise ValueError(f"span name may not contain '/': {name!r}")
+    return f"{parent_path}/{name}" if parent_path else name
+
+
 @dataclass(frozen=True)
 class TraceContext:
     """Serializable cross-process trace context: what ships with a request.
@@ -135,7 +144,7 @@ class TraceSpan:
     the finished event is recorded on ``__exit__``.
     """
 
-    __slots__ = ("_trace", "_tracer", "span_id", "parent_id", "name", "attrs", "_start")
+    __slots__ = ("_trace", "_tracer", "span_id", "parent_id", "name", "attrs", "path", "_start")
 
     def __init__(self, trace: "Trace", tracer: "Tracer", name: str, attrs: dict):
         self._trace = trace
@@ -144,6 +153,8 @@ class TraceSpan:
         self.attrs = dict(attrs)
         self.span_id: Optional[int] = None
         self.parent_id: int = ROOT
+        #: Slash-joined names from the trace root down to this span.
+        self.path = ""
         self._start: float = 0.0
 
     def set(self, **attrs) -> "TraceSpan":
@@ -152,11 +163,12 @@ class TraceSpan:
         return self
 
     def __enter__(self) -> "TraceSpan":
+        parent = self._tracer._parent(self._trace)
+        self.path = _child_path(parent.path if parent else "", self.name)
+        self.parent_id = parent.span_id if parent else ROOT
         self.span_id = self._trace._next_span_id()
-        stack = self._tracer._stack()
-        self.parent_id = stack[-1].span_id if stack and stack[-1]._trace is self._trace else ROOT
         self._start = self._tracer._clock()
-        stack.append(self)
+        self._tracer._stack().append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -166,9 +178,7 @@ class TraceSpan:
         stack = self._tracer._stack()
         if stack and stack[-1] is self:
             stack.pop()
-        self._trace._record(
-            self.span_id, self.parent_id, self.name, self._start, end, self.attrs
-        )
+        self._trace._record(self.span_id, self.parent_id, self.path, self._start, end, self.attrs)
 
 
 class Handoff:
@@ -179,13 +189,14 @@ class Handoff:
     the originating request.
     """
 
-    __slots__ = ("trace", "parent_id", "created_at", "_tracer")
+    __slots__ = ("trace", "parent_id", "path", "created_at", "_tracer")
 
-    def __init__(self, trace: "Trace", parent_id: int, created_at: float, tracer: "Tracer"):
+    def __init__(self, trace: "Trace", parent: Optional[TraceSpan], created_at: float):
         self.trace = trace
-        self.parent_id = parent_id
+        self.parent_id = parent.span_id if parent else ROOT
+        self.path = parent.path if parent else ""
         self.created_at = created_at
-        self._tracer = tracer
+        self._tracer = trace._tracer
 
     def record(self, name: str, start: float, end: float, **attrs) -> None:
         """Stamp one finished span (explicit timestamps) under the handoff point.
@@ -193,7 +204,8 @@ class Handoff:
         Used when the consuming thread did shared work (a batched
         forward) whose interval applies to several traces at once.
         """
-        self.trace._record(self.trace._next_span_id(), self.parent_id, name, start, end, attrs)
+        path = _child_path(self.path, name)
+        self.trace._record(self.trace._next_span_id(), self.parent_id, path, start, end, attrs)
 
     def record_wait(self, name: str = "queue-wait", end: Optional[float] = None, **attrs) -> None:
         """Stamp the span from handoff creation until ``end`` (default: now).
@@ -231,6 +243,7 @@ class _Resumed:
         # Push an anchor entry so nested spans parent to the handoff point.
         anchor = TraceSpan(handoff.trace, handoff._tracer, "<resumed>", {})
         anchor.span_id = handoff.parent_id
+        anchor.path = handoff.path
         self._anchor = anchor
         handoff._tracer._stack().append(anchor)
         return handoff.trace
@@ -247,6 +260,8 @@ class Trace:
     Span events are plain dicts ``{"id", "parent", "name", "start",
     "end", "thread", "attrs"}``; the event list is bounded by
     ``max_events`` (excess increments :attr:`dropped_events`).
+    :meth:`totals` counts every span that closed while the trace was
+    open, over budget or not; grafted worker subtrees are events only.
     """
 
     def __init__(
@@ -269,6 +284,7 @@ class Trace:
         self._tracer = tracer
         self._lock = threading.Lock()
         self._span_counter = ROOT
+        self._totals: Dict[str, List[float]] = {}  # path -> [seconds, count]
 
     # -- recording ------------------------------------------------------
     def _next_span_id(self) -> int:
@@ -277,20 +293,27 @@ class Trace:
             return self._span_counter
 
     def _record(
-        self, span_id: int, parent_id: int, name: str, start: float, end: float, attrs: dict
+        self, span_id: int, parent_id: int, path: str, start: float, end: float, attrs: dict
     ) -> None:
+        """Record one closed span; ``path`` is slash-joined, its last part the name."""
         event = {
             "id": span_id,
             "parent": parent_id,
-            "name": name,
+            "name": path.rsplit("/", 1)[-1],
             "start": start,
             "end": end,
             "thread": threading.current_thread().name,
             "attrs": dict(attrs),
         }
         with self._lock:
-            if self.end is not None or len(self.events) >= self.max_events:
-                # Late (trace already finished) or over budget: drop, count.
+            if self.end is not None:
+                # Late (trace already finished): drop, count.
+                self.dropped_events += 1
+                return
+            total = self._totals.setdefault(path, [0.0, 0])
+            total[0] += end - start
+            total[1] += 1
+            if len(self.events) >= self.max_events:
                 self.dropped_events += 1
                 return
             self.events.append(event)
@@ -301,15 +324,12 @@ class Trace:
 
     def handoff(self) -> Handoff:
         """Capture a cross-thread continuation token at the current span."""
-        stack = self._tracer._stack()
-        parent = stack[-1].span_id if stack and stack[-1]._trace is self else ROOT
-        return Handoff(self, parent, self._tracer._clock(), self._tracer)
+        return Handoff(self, self._tracer._parent(self), self._tracer._clock())
 
     def context(self, clock_offset: float = 0.0) -> TraceContext:
         """Capture a cross-process :class:`TraceContext` at the current span."""
-        stack = self._tracer._stack()
-        parent = stack[-1].span_id if stack and stack[-1]._trace is self else ROOT
-        return TraceContext(self.trace_id, parent, clock_offset)
+        parent = self._tracer._parent(self)
+        return TraceContext(self.trace_id, parent.span_id if parent else ROOT, clock_offset)
 
     def record_span(
         self,
@@ -325,15 +345,16 @@ class Trace:
         this trace (the same parenting rule as :meth:`span`).  Used by
         the scatter-gather coordinator, which only knows a shard span's
         interval after the gather resolved and needs the id back to
-        graft the worker's subtree under it.
+        graft the worker's subtree under it.  :meth:`totals` files the
+        span under the current span's path, or at top level when
+        ``parent_id`` names any other span.
         """
+        parent = self._tracer._parent(self)
         if parent_id is None:
-            stack = self._tracer._stack()
-            parent_id = (
-                stack[-1].span_id if stack and stack[-1]._trace is self else ROOT
-            )
+            parent_id = parent.span_id if parent else ROOT
+        parent_path = parent.path if parent and parent.span_id == parent_id else ""
         span_id = self._next_span_id()
-        self._record(span_id, parent_id, name, start, end, attrs)
+        self._record(span_id, parent_id, _child_path(parent_path, name), start, end, attrs)
         return span_id
 
     def set(self, **attrs) -> "Trace":
@@ -348,6 +369,20 @@ class Trace:
         if self.end is None:
             return 0.0
         return self.end - self.start
+
+    def totals(self) -> Dict[str, Dict[str, float]]:
+        """``{path: {"seconds": s, "count": n}}`` per span path, sorted.
+
+        Paths are slash-joined span names below the trace root
+        (``batch/loss/exact-metric``); a parent's seconds cover its
+        children's.  Totals are live recording state: :meth:`to_dict`
+        and :meth:`from_dict` carry events only.
+        """
+        with self._lock:
+            return {
+                path: {"seconds": seconds, "count": count}
+                for path, (seconds, count) in sorted(self._totals.items())
+            }
 
     def children(self, parent_id: int = ROOT) -> List[dict]:
         """Finished child events of ``parent_id``, ordered by start time."""
@@ -485,6 +520,10 @@ class _NullTrace:
         """No cross-process context while disabled (callers ship None)."""
         return None
 
+    def totals(self) -> Dict[str, Dict[str, float]]:
+        """No totals while disabled."""
+        return {}
+
 
 class _NullHandoff:
     """No-op :class:`Handoff` twin returned by :meth:`_NullTrace.handoff`."""
@@ -499,25 +538,13 @@ class _NullHandoff:
         """Record nothing."""
         return None
 
-    def resume(self, wait_name: Optional[str] = "queue-wait") -> "_NullResumed":
+    def resume(self, wait_name: Optional[str] = "queue-wait") -> "_NullTraceContext":
         """A context manager yielding the inert trace."""
-        return _NULL_RESUMED
-
-
-class _NullResumed:
-    """Context manager returned by :meth:`_NullHandoff.resume`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullTrace:
-        return _NULL_TRACE
-
-    def __exit__(self, *exc) -> None:
-        return None
+        return _NULL_TRACE_CONTEXT
 
 
 class _NullTraceContext:
-    """Context manager returned by :meth:`Tracer.trace` while disabled."""
+    """Yields the inert trace: :meth:`Tracer.trace` while disabled, null resumes."""
 
     __slots__ = ()
 
@@ -530,7 +557,6 @@ class _NullTraceContext:
 
 _NULL_TRACE = _NullTrace()
 _NULL_HANDOFF = _NullHandoff()
-_NULL_RESUMED = _NullResumed()
 _NULL_TRACE_CONTEXT = _NullTraceContext()
 
 
@@ -606,6 +632,11 @@ class Tracer:
         if stack is None:
             stack = self._local.stack = []
         return stack
+
+    def _parent(self, trace: Trace) -> Optional[TraceSpan]:
+        """The calling thread's innermost open span of ``trace`` (or its anchor)."""
+        stack = self._stack()
+        return stack[-1] if stack and stack[-1]._trace is trace else None
 
     def _new_trace(self, name: str, attrs: dict) -> Trace:
         with self._lock:

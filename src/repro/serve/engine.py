@@ -58,6 +58,7 @@ __all__ = [
     "embedding_answer", "empty_result", "encode_block", "encode_chunked",
     "exact_metric_topk", "exact_scan", "last_resort", "open_request",
     "publish_memory", "resolve_encoder", "resolve_metric", "search_embeddings",
+    "serving_stats",
 ]
 
 _LOG = get_logger("repro.serve.engine")
@@ -334,6 +335,17 @@ def publish_memory(
     }
 
 
+def serving_stats(db_size: int, cache: EmbeddingCache) -> dict:
+    """The counters both servers' ``stats()`` report: store size + cache."""
+    return {
+        "db_size": db_size,
+        "cache_size": len(cache),
+        "cache_hits": cache.hits,
+        "cache_misses": cache.misses,
+        "cache_hit_rate": cache.hit_rate,
+    }
+
+
 class SimilarityServer:
     """Concurrent top-k similarity serving over learned embeddings.
 
@@ -510,14 +522,8 @@ class SimilarityServer:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Serving counters snapshot (cache + queue + query totals)."""
-        return {
-            "db_size": len(self.index),
-            "cache_size": len(self.cache),
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "cache_hit_rate": self.cache.hit_rate,
-        }
+        """Serving counters snapshot (index size + cache counters)."""
+        return serving_stats(len(self.index), self.cache)
 
     def memory_stats(self, registry=None) -> dict:
         """Exact bytes held by the serving structures, plus process RSS.

@@ -92,6 +92,7 @@ from .engine import (
     resolve_encoder,
     resolve_metric,
     search_embeddings,
+    serving_stats,
 )
 
 __all__ = [
@@ -1237,13 +1238,9 @@ class ShardedSimilarityServer:
         with self._store_lock:
             n_trajs = len(self._trajs)
         return {
-            "db_size": n_trajs,
+            **serving_stats(n_trajs, self.cache),
             "n_shards": self.n_shards,
             "live_shards": len(self.live_shards),
-            "cache_size": len(self.cache),
-            "cache_hits": self.cache.hits,
-            "cache_misses": self.cache.misses,
-            "cache_hit_rate": self.cache.hit_rate,
         }
 
     def memory_stats(self, registry=None) -> dict:

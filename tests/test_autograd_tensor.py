@@ -1,5 +1,7 @@
 """Unit tests for the Tensor autodiff engine."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,35 @@ class TestBackwardMechanics:
         assert is_grad_enabled()
         assert not b.requires_grad
         assert b._backward is None
+
+    def test_no_grad_is_thread_local_under_interleaved_exits(self):
+        # A enters, B enters, A exits, B exits: with one process-wide flag
+        # B's exit restores the False it saw on entry and grad mode sticks off.
+        a_entered, b_entered, a_exited = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def thread_a():
+            with no_grad():
+                a_entered.set()
+                b_entered.wait(5)
+            a_exited.set()
+
+        def thread_b():
+            a_entered.wait(5)
+            with no_grad():
+                b_entered.set()
+                a_exited.wait(5)
+            seen["b_after"] = is_grad_enabled()
+
+        workers = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(10)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == {"b_after": True}
+        assert is_grad_enabled()
+        assert Tensor(1.0, requires_grad=True).requires_grad
 
     def test_requires_grad_suppressed_inside_no_grad(self):
         with no_grad():

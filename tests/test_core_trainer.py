@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import TMN, TMNConfig, Trainer
 from repro.metrics import pairwise_distance_matrix
+from repro.obs import get_tracer
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +51,48 @@ class TestFit:
         assert [r["epoch"] for r in seen] == [1, 2]
         for record in seen:
             assert record["grad_norm"] >= 0
-            assert "epoch/batch/forward" in record["spans"]
-        totals = trainer.spans.totals()
-        assert totals["epoch"]["count"] == 2
-        assert totals["epoch"]["seconds"] >= totals["epoch/batch"]["seconds"]
+            spans = record["spans"]
+            assert "epoch/batch/forward" in spans
+            assert spans["epoch"]["count"] == 1
+            assert spans["epoch"]["seconds"] >= spans["epoch/batch"]["seconds"]
+            assert spans["epoch"]["seconds"] <= record["seconds"]
+
+    def test_epoch_spans_match_the_reference_fit(self):
+        # Paths and per-path counts of the epoch breakdown for a fixed fit:
+        # 150 trips in 19 batches; Eq. 15 prefix supervision makes 74
+        # exact-metric calls.  Every stage opens exactly one span.
+        from perfbench.inputs import train_corpus
+
+        train, _ = train_corpus(1)
+        cfg = TMNConfig(hidden_dim=16, epochs=1, seed=1)
+        seen = []
+        Trainer(TMN(cfg), cfg, metric="dtw").fit(train, on_epoch=seen.append)
+        counts = {path: stat["count"] for path, stat in seen[0]["spans"].items()}
+        assert counts == {
+            "epoch": 1,
+            "epoch/sampling": 19,
+            "epoch/batch": 19,
+            "epoch/batch/forward": 19,
+            "epoch/batch/loss": 19,
+            "epoch/batch/loss/exact-metric": 74,
+            "epoch/batch/backward": 19,
+            "epoch/batch/optimizer": 19,
+        }
+
+    def test_spans_are_empty_with_tracer_disabled(self, tiny_train):
+        trajs, distances = tiny_train
+        cfg = small_config(epochs=1)
+        seen = []
+        tracer = get_tracer()
+        previous = tracer.set_enabled(False)
+        try:
+            Trainer(TMN(cfg), cfg, metric="hausdorff").fit(
+                trajs, distances=distances, on_epoch=seen.append
+            )
+        finally:
+            tracer.set_enabled(previous)
+        assert seen[0]["spans"] == {}
+        assert seen[0]["loss"] > 0
 
     def test_final_loss_without_epochs_raises(self):
         from repro.core import TrainingHistory

@@ -1,7 +1,10 @@
-"""Tests for repro.obs: metrics registry, spans, op profiler, run records
-and the observability-facing CLI surface (train --log-json / report)."""
+"""Tests for repro.obs: metrics registry, trace span totals, op profiler,
+run records and the observability-facing CLI surface (train --log-json /
+report)."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,8 +17,8 @@ from repro.obs import (
     MetricsRegistry,
     OpProfiler,
     RunWriter,
-    SpanRecorder,
-    diff_totals,
+    Trace,
+    Tracer,
     format_op_table,
     format_run,
     format_spans,
@@ -86,64 +89,99 @@ class TestMetricsRegistry:
 # Spans
 # ----------------------------------------------------------------------
 class TestSpans:
+    """Per-path span totals kept by a trace (the trainer's stage breakdown)."""
+
     def test_nesting_paths_and_parent_covers_children(self):
-        rec = SpanRecorder()
-        for _ in range(3):
-            with rec.span("epoch"):
-                with rec.span("batch"):
-                    with rec.span("forward"):
+        tracer = Tracer()
+        with tracer.trace("train.epoch") as trace:
+            for _ in range(3):
+                with tracer.span("batch"):
+                    with tracer.span("forward"):
                         pass
-                    with rec.span("backward"):
+                    with tracer.span("backward"):
                         pass
-        totals = rec.totals()
-        assert set(totals) == {
-            "epoch",
-            "epoch/batch",
-            "epoch/batch/forward",
-            "epoch/batch/backward",
-        }
-        assert totals["epoch"]["count"] == 3
-        child_sum = (
-            totals["epoch/batch/forward"]["seconds"]
-            + totals["epoch/batch/backward"]["seconds"]
-        )
-        assert totals["epoch/batch"]["seconds"] >= child_sum
-        assert totals["epoch"]["seconds"] >= totals["epoch/batch"]["seconds"]
-
-    def test_diff_totals_gives_interval_breakdown(self):
-        rec = SpanRecorder()
-        with rec.span("a"):
-            pass
-        before = rec.totals()
-        with rec.span("a"):
-            pass
-        with rec.span("b"):
-            pass
-        delta = diff_totals(rec.totals(), before)
-        assert delta["a"]["count"] == 1
-        assert delta["b"]["count"] == 1
-
-    def test_timed_decorator_and_reset(self):
-        rec = SpanRecorder()
-
-        @rec.timed("work")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert rec.totals()["work"]["count"] == 1
-        rec.reset()
-        assert rec.totals() == {}
+        totals = trace.totals()
+        assert set(totals) == {"batch", "batch/forward", "batch/backward"}
+        assert totals["batch"]["count"] == 3
+        child_sum = totals["batch/forward"]["seconds"] + totals["batch/backward"]["seconds"]
+        assert totals["batch"]["seconds"] >= child_sum
+        assert trace.duration >= totals["batch"]["seconds"]
 
     def test_slash_in_name_rejected_and_format(self):
-        rec = SpanRecorder()
-        with pytest.raises(ValueError):
-            rec.span("a/b")
-        with rec.span("outer"):
-            with rec.span("inner"):
-                pass
-        text = format_spans(rec.totals())
+        tracer = Tracer()
+        with tracer.trace("work") as trace:
+            with pytest.raises(ValueError):
+                with tracer.span("a/b"):
+                    pass
+            with tracer.span("outer"):
+                with tracer.span("inner"):
+                    pass
+        assert set(trace.totals()) == {"outer", "outer/inner"}
+        text = format_spans(trace.totals())
         assert "outer" in text and "inner" in text
+
+    def test_totals_stay_exact_past_max_events(self):
+        tracer = Tracer()
+        trace = Trace("t?", "train.epoch", tracer, start=0.0, max_events=4)
+        handoff = trace.handoff()
+        for i in range(10):
+            handoff.record("batch", float(i), float(i) + 0.5)
+        trace.record_span("sampling", 0.0, 0.25)
+        assert len(trace.events) == 4
+        assert trace.dropped_events == 7
+        assert trace.totals() == {
+            "batch": {"seconds": 5.0, "count": 10},
+            "sampling": {"seconds": 0.25, "count": 1},
+        }
+
+    def test_handoff_and_resume_nest_under_the_captured_span(self):
+        tracer = Tracer()
+        with tracer.trace("serve.topk") as trace:
+            with tracer.span("request"):
+                handoff = trace.handoff()
+            handoff.record("forward", 0.0, 1.0)
+            with handoff.resume(wait_name="queue-wait"):
+                with tracer.span("index"):
+                    pass
+        assert set(trace.totals()) == {
+            "request",
+            "request/forward",
+            "request/queue-wait",
+            "request/index",
+        }
+
+    def test_concurrent_records_lose_no_total_updates(self):
+        tracer = Tracer()
+        trace = Trace("t?", "serve.topk", tracer, start=0.0, max_events=16)
+        handoff = trace.handoff()
+        n_threads, per_thread = 8, 500
+
+        def work():
+            for _ in range(per_thread):
+                handoff.record("forward", 0.0, 0.5)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(n_threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+        total = trace.totals()["forward"]
+        assert total["count"] == n_threads * per_thread
+        assert total["seconds"] == pytest.approx(0.5 * n_threads * per_thread)
+
+    def test_late_spans_stay_out_of_the_totals(self):
+        tracer = Tracer()
+        with tracer.trace("work") as trace:
+            handoff = trace.handoff()
+        handoff.record("late", 0.0, 1.0)
+        assert trace.totals() == {}
+        assert trace.dropped_events == 1
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +359,11 @@ class TestCliReport:
         report_out = capsys.readouterr().out
         assert "grad_norm" in report_out
         assert "op profile:" in report_out
+        assert "last-epoch span breakdown:" in report_out
+        assert "run span totals (all epochs):" in report_out
+        # One epoch: the last-epoch block is exactly that epoch's tree.
+        assert format_spans(epoch["spans"]) in report_out
+        assert {"epoch", "epoch/sampling", "epoch/batch/optimizer"} <= set(epoch["spans"])
 
     def test_report_missing_file_errors(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 2

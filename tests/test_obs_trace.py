@@ -279,9 +279,8 @@ class TestDeterministicRendering:
                 "p99": 0.21,
             },
         }
-        spans = {"epoch/batch": {"seconds": 1.5, "count": 3}}
-        text = render_exposition(snapshot, span_totals=spans)
-        assert text == render_exposition(snapshot, span_totals=spans)
+        text = render_exposition(snapshot)
+        assert text == render_exposition(snapshot)
         assert "# TYPE repro_serve_cache_hits_total counter" in text
         assert "repro_serve_cache_hits_total 3" in text
         assert "repro_serve_queue_depth 2" in text
@@ -289,8 +288,6 @@ class TestDeterministicRendering:
         assert 'repro_serve_query_seconds{quantile="0.5"} 0.125' in text
         assert "repro_serve_query_seconds_sum 0.5" in text
         assert "repro_serve_query_seconds_count 4" in text
-        assert 'repro_span_seconds_total{path="epoch/batch"} 1.5' in text
-        assert 'repro_span_count_total{path="epoch/batch"} 3' in text
         assert text.endswith("\n")
 
     def test_exposition_accepts_live_registry(self):

@@ -331,3 +331,28 @@ def test_encoder_down_answers_record_one_degraded_span(sharded):
         assert spans[0]["attrs"]["scanned"] == len(trajs)
     finally:
         srv.close()
+
+
+@pytest.mark.parametrize("sharded", BOTH_SERVERS)
+def test_stats_report_the_shared_store_and_cache_counters(sharded):
+    """Both servers' ``stats()`` carry the same store + cache counters."""
+    trajs = _trajs(6, seed=31)
+    srv = _either_server(sharded, FeatureEncoder(dim=DIM, seed=0))
+    try:
+        srv.add_batch(trajs)
+        query = _trajs(1, seed=32)[0]
+        srv.topk(query, k=2)  # fresh: a miss
+        srv.topk(query, k=2)  # repeated: a hit
+        stats = srv.stats()
+        expected = {"db_size", "cache_size", "cache_hits", "cache_misses", "cache_hit_rate"}
+        if sharded:
+            expected |= {"n_shards", "live_shards"}
+            assert (stats["n_shards"], stats["live_shards"]) == (2, 2)
+        assert set(stats) == expected
+        assert stats["db_size"] == len(trajs)
+        assert stats["cache_size"] == len(srv.cache)
+        hits, misses = stats["cache_hits"], stats["cache_misses"]
+        assert hits >= 1 and misses >= 1
+        assert stats["cache_hit_rate"] == pytest.approx(hits / (hits + misses))
+    finally:
+        srv.close()
